@@ -602,22 +602,14 @@ void DoubleCheckerRuntime::beginRun(rt::Runtime &RT) {
     } else {
       // Ring transport (DESIGN.md §13): footprint is O(cores), independent
       // of the program's thread count — per-thread chunk caches stay
-      // detached; the drain side owns the only cache.
+      // detached; the drain side owns the only cache. Refill admission
+      // stays with the mutators (PerThread::ChunkCredit).
       const uint32_t NumRings =
           Opts.RingCount != 0
               ? Opts.RingCount
               : std::max(1u, std::thread::hardware_concurrency());
       Ring = std::make_unique<RingLog>(NumRings, Opts.RingBytes);
       Ring->attachPool(&ChunkPool);
-      // Drain-side chunk refusals are sheds too — surface them as the same
-      // structured ShedLogging event arena mode records at the mutator.
-      // The stamp is the transaction id (schedule-determined), not the
-      // order clock: drain timing is wall-clock and must not leak into the
-      // deterministic degradation report.
-      Ring->setShedHook([this](Transaction *Tx) {
-        recordDegradation(
-            {rt::DegradationEvent::Action::ShedLogging, Tx->Tid, Tx->Id});
-      });
       DrainerStop.store(false, std::memory_order_relaxed);
       RingDrainer = std::thread([this] { ringDrainLoop(); });
     }
@@ -729,8 +721,7 @@ void DoubleCheckerRuntime::endRun(rt::Runtime &RT) {
     Stats.get("logging.ring_count").updateMax(Ring->numRings());
   }
   Stats.get("degradation.log_dropped").add(Dropped);
-  Stats.get("degradation.sheds")
-      .add(Sheds + (Ring ? Ring->shedRefusals() : 0));
+  Stats.get("degradation.sheds").add(Sheds);
   Governor.flush(Stats);
   if (Opts.WindowTxs != 0)
     Stats.get("window.flushes_degraded")
@@ -917,11 +908,17 @@ void DoubleCheckerRuntime::logAccess(rt::ThreadContext &TC, PerThread &PT,
       // while it runs), and LogLen is stored only after the cell is
       // published — a concurrently sampled SrcPos never names an
       // unpublished record.
+      const uint32_t Pos = Cur->LogLen.load(std::memory_order_relaxed);
+      if (!ringAdmitChunk(PT, Pos, 1)) {
+        // The ladder's decision point, taken here rather than on the
+        // drain side so it stays keyed to this thread's log position.
+        beginShed(PT, TC.Tid, Cur);
+        return;
+      }
       LogSlot S;
       S.A = Info.Obj;
       S.B = Info.Addr;
       S.Meta = Info.IsWrite ? SlotTagWrite : SlotTagRead;
-      const uint32_t Pos = Cur->LogLen.load(std::memory_order_relaxed);
       if (!ringPublish(PT, Cur, Pos, &S, 1)) {
         // Every rung of the full-ring ladder failed: same degradation
         // decision point as a refused chunk refill on the arena path.
@@ -1293,6 +1290,11 @@ void DoubleCheckerRuntime::addCrossEdgeLocked(Transaction *Src,
       S[0].Meta = SlotTagEdgeIn | (Marker.SrcSeq << 2);
       S[1].Meta = Marker.Time;
       const uint32_t Pos = Dst->LogLen.load(std::memory_order_relaxed);
+      // Markers never shed: a refused refill is ignored, matching arena
+      // mode's never-fail LogChunkCache::get(). As there, only a program
+      // thread's credit is consulted.
+      if (Phys < NumThreads)
+        (void)ringAdmitChunk(Pub, Pos, 2);
       if (ringPublish(Pub, Dst, Pos, S, 2)) {
         Dst->LogLen.store(Pos + 2, std::memory_order_release);
         Pub.BytesLogged += 2 * sizeof(LogSlot);
@@ -1585,8 +1587,8 @@ void DoubleCheckerRuntime::executeIcdClaims(
     }
     if (!awaitLogComplete(Members)) {
       // Ring transport: a member's records never finished materializing
-      // (drain stall, or a shed landed during the wait). Degrading is
-      // sound; replaying an incomplete log would not be.
+      // (drain stall). Degrading is sound; replaying an incomplete log
+      // would not be.
       degradeScc(Members, MaxEnd);
       Unpin();
       continue;
@@ -1612,6 +1614,23 @@ uint32_t DoubleCheckerRuntime::stripesHeldByCurrentThread() const {
 //===----------------------------------------------------------------------===//
 // Ring log transport (DESIGN.md §13)
 //===----------------------------------------------------------------------===//
+
+bool DoubleCheckerRuntime::ringAdmitChunk(PerThread &PT, uint32_t Pos,
+                                          uint32_t N) {
+  // Records are at most two slots, so [Pos, Pos + N) starts at most one
+  // chunk: at Pos itself, or at its last slot when the record straddles.
+  const uint32_t Last = Pos + N - 1;
+  if (Pos % LogChunk::SlotsPerChunk != 0 &&
+      Last / LogChunk::SlotsPerChunk == Pos / LogChunk::SlotsPerChunk)
+    return true;
+  if (PT.ChunkCredit == 0) {
+    if (!ChunkPool.admitRefill())
+      return false;
+    PT.ChunkCredit = LogChunkCache::RefillBatch;
+  }
+  --PT.ChunkCredit;
+  return true;
+}
 
 bool DoubleCheckerRuntime::ringPublish(PerThread &PT, Transaction *Tx,
                                        uint32_t Pos, const LogSlot *S,
@@ -1665,8 +1684,9 @@ bool DoubleCheckerRuntime::awaitLogComplete(
     return true;
   // Members are finished and their claim synchronized with the owners'
   // final LogLen stores, so LogLen is exact here; DrainedSlots counts
-  // materialized (or shed-accounted) slots and meets it exactly when every
-  // record has been consumed.
+  // materialized slots and meets it exactly when every record has been
+  // consumed. Shed members were degraded by the caller: a finished
+  // transaction's LogShed never changes, since only the mutator sheds.
   auto Incomplete = [&Members]() -> bool {
     for (const Transaction *M : Members)
       if (M->DrainedSlots.load(std::memory_order_acquire) <
@@ -1674,14 +1694,8 @@ bool DoubleCheckerRuntime::awaitLogComplete(
         return true;
     return false;
   };
-  auto AnyShed = [&Members]() -> bool {
-    for (const Transaction *M : Members)
-      if (M->LogShed.load(std::memory_order_acquire))
-        return true;
-    return false;
-  };
   if (!Incomplete())
-    return !AnyShed();
+    return true;
   // Help the drain rather than just waiting. The deadline turns a starved
   // drain (e.g. a producer descheduled mid-commit gapping a ring) into a
   // sound degradation instead of a hang.
@@ -1690,8 +1704,6 @@ bool DoubleCheckerRuntime::awaitLogComplete(
       std::chrono::milliseconds(std::max(1u, Opts.PcdStallTimeoutMs));
   YieldBackoff Backoff;
   while (Incomplete()) {
-    if (AnyShed())
-      return false;
     Ring->drainAll();
     if (!Incomplete())
       break;
@@ -1706,7 +1718,7 @@ bool DoubleCheckerRuntime::awaitLogComplete(
       Dog->heartbeat(DogGateSlot);
     Backoff.pause();
   }
-  return !AnyShed();
+  return true;
 }
 
 void DoubleCheckerRuntime::ringDrainLoop() {

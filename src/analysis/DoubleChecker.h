@@ -335,8 +335,9 @@ private:
     uint64_t BytesLogged = 0;
     uint64_t LogDropped = 0; ///< Accesses not logged while shedding.
     /// Degradation ladder (owner thread only): true while this thread has
-    /// shed logging (ICD-only). Entered when a chunk refill is refused;
-    /// re-armed after RearmAfterTxs new transactions if pressure subsided.
+    /// shed logging (ICD-only). Entered when a chunk refill is refused
+    /// (arena cache or ring chunk credit); re-armed after RearmAfterTxs new
+    /// transactions if pressure subsided.
     bool LogShedActive = false;
     uint32_t RearmCountdown = 0;
     uint64_t ShedCount = 0;
@@ -354,6 +355,11 @@ private:
     /// O(threads)).
     LogChunkCache ChunkCache;
     // -- Ring transport (owner thread only) --------------------------------
+    /// Chunks this thread's arena ChunkCache would hold: the count, without
+    /// the storage. ringAdmitChunk spends it where an arena append would
+    /// take a chunk and asks ChunkPool for a refill where the cache would,
+    /// so refill admission stays keyed to this thread's log positions.
+    uint32_t ChunkCredit = 0;
     /// Cached target ring, derived from the CPU hint and refreshed every
     /// CpuHintRefresh commits; a stale hint after a migration is harmless
     /// (every ring is MPMC), it just shares a ring until the refresh.
@@ -435,6 +441,15 @@ private:
                  const rt::AccessInfo &Info);
 
   // -- Ring log transport (DESIGN.md §13) ----------------------------------
+  /// Mutator-side chunk admission for a record of \p N slots at position
+  /// \p Pos (DESIGN.md §13). A slot position that starts a chunk spends
+  /// one credit from \p PT; at zero credit, ChunkPool.admitRefill() decides
+  /// a RefillBatch refill — the same request, at the same position, that
+  /// arena mode's LogChunkCache makes. Returns false when that refill was
+  /// refused (injected allocation failure or log-byte budget breach); the
+  /// caller sheds an access record and ignores the refusal for an EdgeIn
+  /// marker, as arena mode does.
+  bool ringAdmitChunk(PerThread &PT, uint32_t Pos, uint32_t N);
   /// Commits \p N slots of \p Tx's log at position \p Pos into the ring
   /// array: hinted ring first, one neighbour hop on contention, then a
   /// bounded self-drain-and-retry ladder when rings are full. Returns false
@@ -445,10 +460,10 @@ private:
                    const LogSlot *S, uint32_t N);
   /// Blocks (bounded by PcdStallTimeoutMs, helping the drain on the way)
   /// until every member's log is fully materialized — DrainedSlots has
-  /// caught up with LogLen — or the member was shed. Returns false when a
-  /// member is shed or the deadline passes: the caller must degrade the
-  /// SCC to Potential instead of replaying. True (trivially) without the
-  /// ring transport.
+  /// caught up with LogLen. Returns false when the deadline passes: the
+  /// caller must degrade the SCC to Potential instead of replaying. Shed
+  /// members are the caller's to degrade beforehand. True (trivially)
+  /// without the ring transport.
   bool awaitLogComplete(const std::vector<Transaction *> &Members);
   /// Body of the background drainer thread: drain all rings, sleep
   /// adaptively while idle, heartbeat the watchdog.
@@ -462,6 +477,9 @@ private:
   /// Enters shed mode for \p PT's thread: the current transaction's log is
   /// marked incomplete, further accesses are dropped (ICD-only), and a
   /// ShedLogging event is recorded with a deterministic OrderClock stamp.
+  /// Called by the logging thread itself in every transport: on a refused
+  /// arena chunk refill, on a refused ring chunk credit refill
+  /// (ringAdmitChunk), and when every rung of a full-ring publish failed.
   void beginShed(PerThread &PT, uint32_t Tid, Transaction *Cur);
   /// Degrades one detected SCC to a Potential violation record instead of
   /// a precise replay (members need not be pinned). \p Stamp is the SCC's

@@ -94,11 +94,15 @@ LogChunkCache::~LogChunkCache() {
 }
 
 LogChunk *LogChunkCache::tryGet() {
+  if (Free == nullptr && Pool != nullptr && !Pool->admitRefill())
+    return nullptr;
+  return getAdmitted();
+}
+
+LogChunk *LogChunkCache::getAdmitted() {
   if (Free == nullptr) {
     if (Pool == nullptr)
       return new LogChunk();
-    if (!Pool->admitRefill())
-      return nullptr;
     Free = Pool->popBatch(RefillBatch);
     Count = RefillBatch;
   }
@@ -121,17 +125,7 @@ uint32_t RingLog::drainAllLocked() {
   for (uint32_t R = 0; R < Rings.numRings(); ++R) {
     Total += Rings.drain(R, [&](RingRecord &Rec) {
       Transaction *Tx = Rec.Tx;
-      if (!Tx->Log.writeAt(Rec.Pos, Rec.Slots, Rec.NumSlots, &DrainCache)) {
-        // Chunk refused (budget breach / injected allocation failure):
-        // shed the whole transaction instead of losing the record
-        // silently — its SCCs degrade to Potential, which is sound.
-        Tx->LogShed.store(true, std::memory_order_release);
-        ShedRefusals.fetch_add(1, std::memory_order_relaxed);
-        if (ShedHook)
-          ShedHook(Tx);
-      }
-      // Count shed slots too: completeness waits must still terminate,
-      // and a shed transaction's log is never replayed.
+      Tx->Log.writeAt(Rec.Pos, Rec.Slots, Rec.NumSlots, &DrainCache);
       Tx->DrainedSlots.fetch_add(Rec.NumSlots, std::memory_order_release);
     });
   }

@@ -39,7 +39,10 @@
 ///    self-drain on a full ring, collector peek — all serialized by one
 ///    internal lock) materializing records into per-transaction
 ///    ChunkedLogs at their mutator-assigned positions. Per-thread chunk
-///    caches disappear in this mode; only the drain side holds one.
+///    caches disappear in this mode; only the drain side holds one, and
+///    it never decides a shed: each mutator keeps a chunk *credit* that
+///    makes the same pool admission requests at the same log positions its
+///    arena cache would have.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,7 +52,6 @@
 #include <atomic>
 #include <cassert>
 #include <cstdint>
-#include <functional>
 
 #include "support/PerCpuRings.h"
 #include "support/ResourceGovernor.h"
@@ -206,9 +208,13 @@ public:
 
   /// Counts a cache refill request and decides it. False — injected
   /// allocation failure or log-byte budget breach — means the caller must
-  /// shed instead of calling popBatch. The request count is deterministic
-  /// for a fixed schedule: caches refill every RefillBatch chunks consumed,
-  /// and appends are schedule-determined.
+  /// shed instead of calling popBatch. Only program threads ask, at
+  /// schedule-determined log positions, so the request count is
+  /// deterministic for a fixed schedule: in arena mode each thread's cache
+  /// asks once per RefillBatch chunks its appends consume; in ring mode
+  /// each thread's chunk credit (DoubleCheckerRuntime::ringAdmitChunk)
+  /// asks at exactly the same positions, and the drain side, whose timing
+  /// is wall-clock, never asks (LogChunkCache::getAdmitted).
   bool admitRefill();
 
   /// Chunks created with operator new (pool misses).
@@ -263,6 +269,12 @@ public:
   /// degradation ladder's shed trigger. get() keeps the never-fail
   /// contract for callers that cannot shed (EdgeIn markers).
   LogChunk *tryGet();
+
+  /// Like get(), but refills without an admission request: for the ring
+  /// drain side, whose records the publishing mutator already admitted
+  /// (DESIGN.md §13). Never fails; the chunks are still charged to the
+  /// pool's governor.
+  LogChunk *getAdmitted();
 
 private:
   LogChunkPool *Pool = nullptr;
@@ -323,20 +335,14 @@ public:
   /// logging mutator; records drain out of ring order (a migrated thread's
   /// records split across rings), so writes land anywhere. Single-writer:
   /// only the ring drain side (under its lock) calls this, and a log
-  /// written this way is never also appended to.
-  ///
-  /// Returns false when \p Cache refused a needed chunk (budget breach or
-  /// injected allocation failure) — the caller must shed the transaction;
-  /// whatever was already materialized stays linked for reclamation.
-  bool writeAt(uint32_t Pos, const LogSlot *Src, uint32_t N,
+  /// written this way is never also appended to. Never fails: chunk
+  /// admission belongs to the publishing mutator (DESIGN.md §13), so the
+  /// drain side refills without asking.
+  void writeAt(uint32_t Pos, const LogSlot *Src, uint32_t N,
                LogChunkCache *Cache) {
     const uint32_t End = Pos + N;
-    while (NumChunks * LogChunk::SlotsPerChunk < End) {
-      LogChunk *C = Cache != nullptr ? Cache->tryGet() : new LogChunk();
-      if (C == nullptr)
-        return false;
-      adoptChunk(C);
-    }
+    while (NumChunks * LogChunk::SlotsPerChunk < End)
+      adoptChunk(Cache != nullptr ? Cache->getAdmitted() : new LogChunk());
     const uint32_t ChunkIdx = Pos / LogChunk::SlotsPerChunk;
     if (DrainChunk == nullptr || ChunkIdx < DrainChunkIdx) {
       DrainChunk = Head;
@@ -358,7 +364,6 @@ public:
     }
     if (End > NumSlots)
       NumSlots = End;
-    return true;
   }
 
   /// Moves every chunk to \p Pool (collector reclamation); the log becomes
@@ -449,7 +454,8 @@ struct RingRecord {
 /// a mutator self-draining a full ring, the collector's liveness peek — is
 /// serialized by the internal drain lock, which also guards the single
 /// drain-side chunk cache (the O(cores) footprint story: per-thread caches
-/// do not exist in this mode).
+/// do not exist in this mode). The drain side never sheds: chunk admission
+/// was decided by the publishing mutator, so materialization cannot fail.
 class RingLog {
 public:
   /// Defaults: rings track the hardware, 64 KiB of cells per ring (1024
@@ -461,14 +467,6 @@ public:
                             CellBytes) {}
 
   void attachPool(LogChunkPool *P) { DrainCache.attach(P); }
-
-  /// Invoked (under the drain lock) for each transaction the drain side
-  /// sheds because chunk refill was refused. The checker hooks this to
-  /// record the structured ShedLogging degradation event that arena mode
-  /// records at the mutator — same ladder, different side of the ring.
-  void setShedHook(std::function<void(Transaction *)> H) {
-    ShedHook = std::move(H);
-  }
 
   uint32_t numRings() const { return Rings.numRings(); }
   uint32_t capacity() const { return Rings.capacity(); }
@@ -516,11 +514,11 @@ public:
   uint64_t recordsDrained() const {
     return RecordsDrained.load(std::memory_order_relaxed);
   }
-  /// Records whose materialization was refused a chunk (the transaction
-  /// was shed instead — never lost silently).
-  uint64_t shedRefusals() const {
-    return ShedRefusals.load(std::memory_order_relaxed);
-  }
+  /// Records whose materialization was refused a chunk. Always 0: the
+  /// publishing mutator admits chunks before it commits a record, so the
+  /// drain side has nothing left to refuse. Kept so transport stats and
+  /// bench rows keep their schema.
+  uint64_t shedRefusals() const { return 0; }
 
 private:
   /// PerCpuRings pads each cell to a cache line.
@@ -529,13 +527,11 @@ private:
   uint32_t drainAllLocked();
 
   PerCpuRings<RingRecord> Rings;
-  std::function<void(Transaction *)> ShedHook;
   SpinLock DrainMu;
   /// Guarded by DrainMu, like everything on the consume side.
   LogChunkCache DrainCache;
   std::atomic<uint64_t> DrainPasses{0};
   std::atomic<uint64_t> RecordsDrained{0};
-  std::atomic<uint64_t> ShedRefusals{0};
 };
 
 } // namespace analysis

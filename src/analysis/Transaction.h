@@ -175,8 +175,8 @@ public:
   /// performs on the packed path.
   std::atomic<uint32_t> LogLen{0};
 
-  /// Ring transport only: slots the drain side has materialized into Log
-  /// (or accounted as shed). The log is replay-complete when this reaches
+  /// Ring transport only: slots the drain side has materialized into Log.
+  /// The log is replay-complete when this reaches
   /// LogLen on a Finished transaction. Written under the ring drain lock
   /// with release order; completeness waiters read with acquire, which
   /// makes the materialized chain visible to the replayer.

@@ -322,6 +322,58 @@ TEST(RingEquivalenceTest, FullRingBackpressureStaysEquivalent) {
   EXPECT_EQ(O.stat("logging.ring_count"), 1u);
 }
 
+TEST(RingEquivalenceTest, AllocFailureDegradesIdenticallyToArena) {
+  // The degradation ladder under an injected allocation failure (DESIGN.md
+  // §10, §13): ring mode must make the pool's refill requests at the same
+  // log positions arena mode's per-thread caches do, so alloc-fail@N sheds
+  // the same thread at the same logical time and re-arms it the same way —
+  // the same structured report, whatever order the drain side happens to
+  // materialize records in and however many cores it runs on.
+  ir::Program P = testprogs::racyBank(3, 300, 2);
+  AtomicitySpec Spec = AtomicitySpec::initial(P);
+  std::vector<uint32_t> Recorded;
+  RunConfig RecCfg = detCfg(4, false);
+  RecCfg.RunOpts.ScheduleOut = &Recorded;
+  ASSERT_FALSE(runChecker(P, Spec, RecCfg).Result.Aborted);
+
+  // Both plans refuse a worker's access-record refill (most refill requests
+  // in this edge-heavy program come from EdgeIn markers, which never shed),
+  // early enough that the worker re-arms before it finishes.
+  for (uint64_t FailAt : {6, 48}) {
+    const std::string Label = "alloc-fail@" + std::to_string(FailAt);
+    auto faultCfg = [&](bool Arena) {
+      RunConfig Cfg = detCfg(4, Arena);
+      Cfg.RunOpts.ExplicitSchedule = Recorded;
+      Cfg.RunOpts.OnScheduleExhausted = rt::ScheduleExhaustPolicy::HardError;
+      Cfg.Faults.AllocFailAt = FailAt;
+      return Cfg;
+    };
+    RunOutcome RO = runChecker(P, Spec, faultCfg(false));
+    RunOutcome AO = runChecker(P, Spec, faultCfg(true));
+    ASSERT_FALSE(RO.Result.Aborted) << Label;
+    ASSERT_FALSE(AO.Result.Aborted) << Label;
+    ASSERT_FALSE(RO.Result.ScheduleDiverged) << Label;
+    ASSERT_FALSE(AO.Result.ScheduleDiverged) << Label;
+    EXPECT_GT(RO.stat("logging.ring_commits"), 0u) << Label;
+    EXPECT_EQ(AO.stat("logging.ring_commits"), 0u) << Label;
+    // The fault really fired and the ladder ran its full course.
+    auto has = [](const RunOutcome &O, rt::DegradationEvent::Action A) {
+      for (const rt::DegradationEvent &E : O.Result.Degradation)
+        if (E.A == A)
+          return true;
+      return false;
+    };
+    EXPECT_TRUE(has(AO, rt::DegradationEvent::Action::ShedLogging)) << Label;
+    EXPECT_TRUE(has(AO, rt::DegradationEvent::Action::Rearm)) << Label;
+    EXPECT_EQ(RO.Result.Degradation, AO.Result.Degradation) << Label;
+    EXPECT_EQ(RO.stat("logging.refill_requests"),
+              AO.stat("logging.refill_requests"))
+        << Label;
+    EXPECT_EQ(RO.BlamedMethods, AO.BlamedMethods) << Label;
+    EXPECT_EQ(RO.PotentialMethods, AO.PotentialMethods) << Label;
+  }
+}
+
 TEST(RingEquivalenceTest, RingRunReportsTransportCounters) {
   ir::Program P = testprogs::racyBank(2, 300, 2);
   AtomicitySpec Spec = AtomicitySpec::initial(P);

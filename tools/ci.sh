@@ -20,6 +20,33 @@ cmake -B build-ci -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
 cmake --build build-ci -j "$JOBS"
 ctest --test-dir build-ci --output-on-failure -j 1
 
+echo "== Multi-core determinism (repeated, pinned to 2 CPUs) =="
+# Determinism contracts that only break when checker threads really run in
+# parallel: the ring transport's drainer materializing records out of
+# schedule order, the collector racing the mutators. On one CPU those
+# threads interleave at the OS scheduler's mercy and rarely overlap, so a
+# single pass of the suite above can stay green while a contract is
+# broken. The degradation property (sharded vs serialized reports under a
+# fault plan) and the fault-injection suite run 20 times over, pinned to
+# two of the CPUs this process may use. Skipped on single-CPU hosts.
+if [ "$(nproc)" -ge 2 ]; then
+  # First two CPUs of this process's affinity list ("0-3", "2,5,7", ...).
+  CPUS=()
+  IFS=, read -ra RANGES <<< "$(taskset -cp $$ | sed 's/.*: //')"
+  for R in "${RANGES[@]}"; do
+    if [[ "$R" == *-* ]]; then
+      for ((C = ${R%-*}; C <= ${R#*-}; C++)); do CPUS+=("$C"); done
+    else
+      CPUS+=("$R")
+    fi
+  done
+  taskset -c "${CPUS[0]},${CPUS[1]}" \
+    ctest --test-dir build-ci --output-on-failure \
+    -R "RandomPrograms|FaultInjection" --repeat until-fail:20
+else
+  echo "skipped: $(nproc) CPU available, the stage needs 2"
+fi
+
 echo "== Logging hot-path bench (smoke) =="
 # A tiny-scale run to catch regressions that only show up under the bench
 # harness (ring commit/drain plumbing, chunk recycling, the arena and
